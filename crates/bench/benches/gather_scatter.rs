@@ -1,12 +1,9 @@
-//! Microbench of the gather-scatter kernel (§6): scalar vs vector mode,
-//! and the distributed form's per-op cost over the simulated machine.
+//! Microbench of the gather-scatter kernel (§6): scalar vs vector mode.
 //! Runs on the in-repo harness ([`sem_bench::timing`]).
 
 use sem_bench::timing::BenchGroup;
-use sem_comm::SimComm;
-use sem_gs::{GsHandle, GsOp, ParGs};
+use sem_gs::{GsHandle, GsOp};
 use sem_mesh::generators::box2d;
-use sem_mesh::partition::partition_rsb;
 use sem_mesh::{Geometry, GlobalNumbering};
 
 fn main() {
@@ -27,23 +24,5 @@ fn main() {
     group.bench("vector3_add", || {
         gs.gs_vec(&mut uv, 3, GsOp::Add);
         std::hint::black_box(&mut uv);
-    });
-    // Distributed over 8 simulated ranks (RSB partition).
-    let p = 8;
-    let part = partition_rsb(&mesh, p);
-    let npts = geo.npts;
-    let mut ids_per_rank: Vec<Vec<usize>> = vec![Vec::new(); p];
-    for e in 0..mesh.num_elems() {
-        ids_per_rank[part[e]].extend_from_slice(&num.ids[e * npts..(e + 1) * npts]);
-    }
-    let pargs = ParGs::new(&ids_per_rank);
-    let mut fields: Vec<Vec<f64>> = ids_per_rank
-        .iter()
-        .map(|ids| ids.iter().map(|&g| g as f64).collect())
-        .collect();
-    group.bench("distributed_add_p8", || {
-        let mut comm = SimComm::new(p);
-        pargs.gs(&mut fields, GsOp::Add, &mut comm);
-        std::hint::black_box(&mut fields);
     });
 }

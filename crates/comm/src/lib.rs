@@ -1,13 +1,10 @@
 //! # sem-comm
 //!
 //! The parallel substrate. The paper ran on real message-passing hardware
-//! (ASCI-Red via NX/MPI); this workspace reproduces the *algorithms'*
-//! communication behaviour on a simulated `P`-rank machine:
+//! (ASCI-Red via NX/MPI). Real rank-to-rank exchange lives in `sem-net`
+//! (Unix-socket ranks); this crate holds the cost model that turns its
+//! measured counts into predicted times, and the intranode threading:
 //!
-//! * [`SimComm`] executes genuine rank-to-rank exchanges (synchronous
-//!   rounds, deterministic) while recording per-rank message counts and
-//!   volumes — the gather-scatter library and the coarse-grid solvers
-//!   route their exchanges through it.
 //! * [`MachineModel`] converts measured counts (messages, bytes, flops)
 //!   into predicted wall-clock using the standard α–β (latency/bandwidth)
 //!   model plus a sustained flop rate, with an ASCI-Red-333 preset
@@ -21,7 +18,5 @@
 
 pub mod model;
 pub mod par;
-pub mod sim;
 
 pub use model::{fit_alpha_beta, CostBreakdown, MachineModel, RankLedger};
-pub use sim::{CommStats, SimComm};

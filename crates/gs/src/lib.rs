@@ -17,14 +17,10 @@
 //! mode** for multiple degrees of freedom per node and the general set of
 //! commutative/associative reduction operations.
 //!
-//! [`ParGs`] is the distributed form: local node arrays per rank, one
-//! aggregated pairwise message per neighbouring rank pair per `gs_op` —
-//! "a single local-to-local transformation, rather than separate gather
-//! and scatter phases" — executed over the simulated communicator so the
-//! message counts and volumes of the real algorithm are measured.
+//! The distributed form — local node arrays per rank, one aggregated
+//! message per neighbouring rank per `gs_op` — is `sem_net::NetGs`, which
+//! runs over real sockets and is bitwise equal to [`GsHandle`].
 
 pub mod local;
-pub mod parallel;
 
 pub use local::{GsHandle, GsOp};
-pub use parallel::ParGs;

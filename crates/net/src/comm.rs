@@ -1,12 +1,11 @@
-//! Rank-level communication built on the [`Transport`] mesh: the real
-//! counterpart of `sem_comm::SimComm`.
+//! Rank-level communication built on the [`Transport`] mesh.
 //!
 //! [`NetComm`] provides the three patterns the solver stack needs —
 //! symmetric neighbor exchange (gather-scatter), binary-tree allgather
-//! (and the allreduce/barrier built on it) — with the *same accounting
-//! semantics* as the simulator: messages and bytes actually sent by this
-//! rank, and `2·⌈log₂ P⌉` critical-path rounds per tree collective with
-//! a single-rank machine charged nothing. It additionally records
+//! (and the allreduce/barrier built on it) — and accounts what it does:
+//! messages and bytes actually sent by this rank, and `2·⌈log₂ P⌉`
+//! critical-path rounds per tree collective with a single-rank machine
+//! charged nothing. It additionally records
 //! `(bytes, seconds)` timing samples per operation class, which is what
 //! the α–β machine model is fitted against (`terasem-launch
 //! --bench-comm`).
@@ -18,8 +17,22 @@
 use crate::transport::{
     bytes_to_f64s, bytes_to_u64s, f64s_to_bytes, u64s_to_bytes, NetError, Transport,
 };
-use sem_comm::CommStats;
 use std::time::Instant;
+
+/// Machine-wide communication statistics ([`NetComm::global_stats`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct CommStats {
+    /// Total messages sent.
+    pub messages: u64,
+    /// Total payload bytes sent.
+    pub bytes: u64,
+    /// Exchange rounds on the critical path (max over ranks).
+    pub rounds: u64,
+    /// Maximum messages sent by any single rank.
+    pub max_msgs_per_rank: u64,
+    /// Maximum bytes sent by any single rank.
+    pub max_bytes_per_rank: u64,
+}
 
 /// Protocol classes (folded into frame tags with per-pair sequencing).
 pub const CLASS_EXCHANGE: u8 = 1;
@@ -261,8 +274,8 @@ impl NetComm {
         Ok(Some(blobs))
     }
 
-    /// Aggregate machine-wide statistics with the same meaning as
-    /// `SimComm::stats()`: totals across ranks plus per-rank maxima.
+    /// Aggregate machine-wide statistics: totals across ranks plus
+    /// per-rank maxima.
     /// Collective — every rank must call it; the gather it performs is
     /// excluded from the snapshot it returns.
     pub fn global_stats(&mut self) -> Result<CommStats, NetError> {
@@ -351,8 +364,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The fixed `SimComm` accounting semantics carry over: a one-rank
-    /// machine exchanges nothing and is charged nothing — zero messages,
+    /// Accounting semantics: a one-rank machine exchanges nothing and is charged nothing — zero messages,
     /// zero bytes, zero rounds — while multi-rank collectives charge
     /// `2·⌈log₂ P⌉` rounds.
     #[test]

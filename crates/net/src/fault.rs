@@ -5,9 +5,9 @@
 //! dropped, delayed, corrupted, truncated, or duplicated frames, plus
 //! whole-link stalls and severs — fired from a shim inside
 //! [`crate::Transport::send`]. Plans are parsed from the
-//! `TERASEM_NET_FAULT` environment variable with the same grammar shape
-//! as `TERASEM_FAULT` (see [`NetFaultPlan::parse`]), or built
-//! programmatically for tests.
+//! `TERASEM_NET_FAULT` environment variable in the grammar `TERASEM_FAULT`
+//! uses (see [`NetFaultPlan::parse`]), or built programmatically for
+//! tests.
 //!
 //! Faults are indexed by the rank's 1-based cumulative *outbound data
 //! frame* count, not by wall clock, so a plan fires at exactly the same
@@ -18,7 +18,8 @@
 //! leaves a trace note, so smoke tests can assert the storm actually
 //! happened.
 
-use std::fmt;
+use crate::comm::{CLASS_BCAST, CLASS_EXCHANGE, CLASS_GATHER, CLASS_PING, CLASS_TELEMETRY};
+use sem_obs::fault::{FaultGrammar, FaultSpecError};
 use std::time::Duration;
 
 /// What to do to an outbound frame (or its link).
@@ -95,35 +96,58 @@ pub struct NetFaultPlan {
     pub events: Vec<NetFaultEvent>,
 }
 
-/// Parse failure for a `TERASEM_NET_FAULT` spec.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NetFaultSpecError(String);
+/// `TERASEM_NET_FAULT` items are indexed by 1-based outbound data frame
+/// and may pin the plan to one rank.
+const GRAMMAR: FaultGrammar = FaultGrammar {
+    var: "TERASEM_NET_FAULT",
+    index: "frame",
+    rank: true,
+};
 
-impl fmt::Display for NetFaultSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid TERASEM_NET_FAULT spec: {}", self.0)
-    }
-}
-
-impl std::error::Error for NetFaultSpecError {}
-
-fn parse_class(name: &str) -> Option<u8> {
-    match name {
-        "exchange" => Some(crate::comm::CLASS_EXCHANGE),
-        "gather" => Some(crate::comm::CLASS_GATHER),
-        "bcast" => Some(crate::comm::CLASS_BCAST),
-        "ping" => Some(crate::comm::CLASS_PING),
-        "telemetry" => Some(crate::comm::CLASS_TELEMETRY),
-        "any" => None,
-        _ => Some(u8::MAX), // sentinel rejected by the caller
-    }
+/// Resolve one item's kind and `:qual` qualifier.
+fn parse_kind(name: &str, qual: Option<&str>, item: &str) -> Result<NetFaultKind, String> {
+    let at_least_one = |q: &str, what: &str| {
+        q.parse::<u64>()
+            .ok()
+            .filter(|&v| v >= 1)
+            .ok_or_else(|| format!("bad {what} in `{item}`"))
+    };
+    Ok(match (name, qual) {
+        ("drop", None) => NetFaultKind::Drop,
+        ("delay", q) => NetFaultKind::Delay {
+            millis: q.map_or(Ok(25), |q| at_least_one(q, "delay millis"))?,
+        },
+        ("corrupt", q) => NetFaultKind::Corrupt {
+            class: match q {
+                None | Some("any") => None,
+                Some("exchange") => Some(CLASS_EXCHANGE),
+                Some("gather") => Some(CLASS_GATHER),
+                Some("bcast") => Some(CLASS_BCAST),
+                Some("ping") => Some(CLASS_PING),
+                Some("telemetry") => Some(CLASS_TELEMETRY),
+                Some(other) => {
+                    return Err(format!("unknown protocol class `{other}` in `{item}`"));
+                }
+            },
+        },
+        ("truncate", None) => NetFaultKind::Truncate,
+        ("dup", None) => NetFaultKind::Duplicate,
+        ("stall", q) => NetFaultKind::Stall {
+            secs: q.map_or(Ok(1), |q| at_least_one(q, "stall seconds"))?,
+        },
+        ("sever", None) => NetFaultKind::Sever,
+        ("drop" | "truncate" | "dup" | "sever", Some(_)) => {
+            return Err(format!("`{name}` takes no qualifier (in `{item}`)"));
+        }
+        (other, _) => return Err(format!("unknown fault kind `{other}`")),
+    })
 }
 
 impl NetFaultPlan {
-    /// Parse a net-fault spec. Grammar (items separated by `,` or `;`):
+    /// Parse a net-fault spec in the shared [`FaultGrammar`] (items
+    /// separated by `,` or `;`):
     ///
     /// ```text
-    /// spec  := item ((',' | ';') item)*
     /// item  := 'seed=' N
     ///        | 'rank=' R
     ///        | kind (':' qual)? '@' frame ('x' count)?
@@ -136,98 +160,21 @@ impl NetFaultPlan {
     /// `frame` is the rank's 1-based cumulative outbound data-frame
     /// index. Examples: `drop@12x3`, `corrupt:exchange@5`, `stall:2@8`,
     /// `sever@20`, `seed=7,rank=1,delay:50@3`.
-    pub fn parse(spec: &str) -> Result<NetFaultPlan, NetFaultSpecError> {
-        let mut plan = NetFaultPlan::default();
-        for raw in spec.split([',', ';']) {
-            let item = raw.trim();
-            if item.is_empty() {
-                continue;
-            }
-            if let Some(seed) = item.strip_prefix("seed=") {
-                plan.seed = seed
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|_| NetFaultSpecError(format!("bad seed `{item}`")))?;
-                continue;
-            }
-            if let Some(rank) = item.strip_prefix("rank=") {
-                plan.rank = Some(
-                    rank.trim()
-                        .parse::<usize>()
-                        .map_err(|_| NetFaultSpecError(format!("bad rank `{item}`")))?,
-                );
-                continue;
-            }
-            let (head, tail) = item
-                .split_once('@')
-                .ok_or_else(|| NetFaultSpecError(format!("missing `@frame` in `{item}`")))?;
-            let (kind_str, qual) = match head.split_once(':') {
-                Some((k, q)) => (k.trim(), Some(q.trim())),
-                None => (head.trim(), None),
-            };
-            let kind = match (kind_str, qual) {
-                ("drop", None) => NetFaultKind::Drop,
-                ("delay", q) => NetFaultKind::Delay {
-                    millis: match q {
-                        Some(ms) => ms.parse::<u64>().ok().filter(|&v| v >= 1).ok_or_else(
-                            || NetFaultSpecError(format!("bad delay millis in `{item}`")),
-                        )?,
-                        None => 25,
-                    },
-                },
-                ("corrupt", q) => NetFaultKind::Corrupt {
-                    class: match q {
-                        Some(name) => match parse_class(name) {
-                            Some(u8::MAX) => {
-                                return Err(NetFaultSpecError(format!(
-                                    "unknown protocol class `{name}` in `{item}`"
-                                )));
-                            }
-                            c => c,
-                        },
-                        None => None,
-                    },
-                },
-                ("truncate", None) => NetFaultKind::Truncate,
-                ("dup", None) => NetFaultKind::Duplicate,
-                ("stall", q) => NetFaultKind::Stall {
-                    secs: match q {
-                        Some(s) => s.parse::<u64>().ok().filter(|&v| v >= 1).ok_or_else(
-                            || NetFaultSpecError(format!("bad stall seconds in `{item}`")),
-                        )?,
-                        None => 1,
-                    },
-                },
-                ("sever", None) => NetFaultKind::Sever,
-                ("drop" | "truncate" | "dup" | "sever", Some(_)) => {
-                    return Err(NetFaultSpecError(format!(
-                        "`{kind_str}` takes no qualifier (in `{item}`)"
-                    )));
-                }
-                (other, _) => {
-                    return Err(NetFaultSpecError(format!("unknown fault kind `{other}`")));
-                }
-            };
-            let (frame_str, count_str) = match tail.split_once('x') {
-                Some((s, c)) => (s.trim(), Some(c.trim())),
-                None => (tail.trim(), None),
-            };
-            let frame = frame_str
-                .parse::<u64>()
-                .ok()
-                .filter(|&s| s >= 1)
-                .ok_or_else(|| NetFaultSpecError(format!("bad frame index in `{item}`")))?;
-            let count = match count_str {
-                Some(c) => c
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| NetFaultSpecError(format!("bad repeat count in `{item}`")))?,
-                None => 1,
-            };
-            plan.events.push(NetFaultEvent { kind, frame, count });
-        }
-        Ok(plan)
+    pub fn parse(spec: &str) -> Result<NetFaultPlan, FaultSpecError> {
+        let spec = GRAMMAR.parse(spec, parse_kind)?;
+        Ok(NetFaultPlan {
+            seed: spec.seed,
+            rank: spec.rank,
+            events: spec
+                .items
+                .into_iter()
+                .map(|i| NetFaultEvent {
+                    kind: i.kind,
+                    frame: i.at,
+                    count: i.count,
+                })
+                .collect(),
+        })
     }
 
     /// Read the plan from `TERASEM_NET_FAULT` for `rank`. Returns
@@ -236,27 +183,9 @@ impl NetFaultPlan {
     /// per process — naming the variable and the bad token — and is
     /// ignored (the resilience layer must not crash the run it tests).
     pub fn from_env(rank: usize) -> Option<NetFaultPlan> {
-        let spec = std::env::var("TERASEM_NET_FAULT").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        match NetFaultPlan::parse(&spec) {
-            Ok(plan) => {
-                if plan.rank.is_some_and(|r| r != rank) {
-                    None
-                } else {
-                    Some(plan)
-                }
-            }
-            Err(e) => {
-                sem_obs::warn::invalid_env(
-                    "TERASEM_NET_FAULT",
-                    &spec,
-                    &format!("{e}; ignoring the net-fault plan"),
-                );
-                None
-            }
-        }
+        GRAMMAR
+            .from_env(NetFaultPlan::parse)
+            .filter(|plan| plan.rank.is_none_or(|r| r == rank))
     }
 
     /// The fault scheduled for the 1-based outbound data frame `frame`

@@ -1,19 +1,19 @@
 //! Distributed gather-scatter over the real transport, bitwise-equal to
 //! the serial `GsHandle`.
 //!
-//! The subtlety is floating-point combine order. `ParGs` (the simulated
-//! distributed form) exchanges per-rank *partials*, so its results drift
-//! from the serial assembly by reassociation; that is fine for a solver
-//! study but useless for `sem-net`, whose whole per-step validation
-//! hinges on bitwise equality with the serial `GsHandle`. `NetGs`
-//! therefore exchanges the *individual copy values* of each shared dof
-//! and folds **all** copies — local and remote alike — in ascending
-//! canonical position (the copy's flat index in the serial layout).
-//! That is exactly the order `GsHandle::gs` folds its CSR groups in, so
-//! the two produce identical bits for every op, every partition, every
-//! rank count.
+//! The subtlety is floating-point combine order. `GsHandle::gs` folds
+//! every copy of a dof in ascending serial position. A distributed form
+//! that exchanged per-rank *partials* would reassociate those sums and
+//! drift from the serial bits, which `sem-net` cannot afford: its
+//! per-step validation hinges on bitwise equality with `GsHandle`.
+//! `NetGs` therefore exchanges the *individual copy values* of each
+//! shared dof and folds **all** copies — local and remote alike — in
+//! ascending canonical position (the copy's flat index in the serial
+//! layout). That is exactly the order `GsHandle::gs` folds its CSR
+//! groups in, so the two produce identical bits for every op, every
+//! partition, every rank count.
 //!
-//! The neighbor-exchange *pattern* is `ParGs`'s: one message per
+//! The neighbor exchange is the paper's (§6): one aggregated message per
 //! neighbor rank per call, neighbors in ascending rank order, message
 //! contents in a canonical order both sides derive independently
 //! (shared dofs ascending by global id, copies ascending by canonical

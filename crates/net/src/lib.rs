@@ -19,7 +19,7 @@
 //!   field hashes every validation interval.
 //! * The gather-scatter really is distributed: [`gs::NetGs`] partitions
 //!   the element set with RSB ([`layout::RankLayout`]), exchanges shared
-//!   dof copies over the sockets with `ParGs`'s neighbor pattern, and
+//!   dof copies over the sockets in one message per neighbor rank, and
 //!   folds in canonical order so its result is bitwise-identical to the
 //!   serial `GsHandle` — validated against the live solver fields every
 //!   interval.
@@ -34,7 +34,7 @@
 //!   `terasem-launch --bench-comm` fits `sem_comm::fit_alpha_beta` from
 //!   ping-pongs and compares measured neighbor-exchange and allreduce
 //!   times against the fitted model and the ASCI-Red preset, with the
-//!   same `CostBreakdown` reporting the simulator uses.
+//!   same `CostBreakdown` reporting the Fig. 6 / Table 4 models use.
 
 pub mod comm;
 pub mod fault;
@@ -45,7 +45,7 @@ pub mod rank;
 pub mod telemetry;
 pub mod transport;
 
-pub use comm::{CommTimings, NetComm};
+pub use comm::{CommStats, CommTimings, NetComm};
 pub use fault::{NetFaultKind, NetFaultPlan};
 pub use gs::NetGs;
 pub use launch::LaunchOpts;

@@ -555,7 +555,7 @@ const OP_REPS: usize = 40;
 
 /// `--bench-comm`: measure the transport, fit the α–β model, and compare
 /// measured collective times against the fitted model and the ASCI-Red
-/// preset with the simulator's `CostBreakdown` reporting.
+/// preset with the model's `CostBreakdown` reporting.
 fn bench_comm_main(opts: &LaunchOpts, comm: &mut NetComm) -> i32 {
     let (rank, size) = (comm.rank(), comm.size());
     if let Err(e) = comm.barrier() {

@@ -21,15 +21,22 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Run one distributed gs on `p` rank-threads; return per-rank result
-/// bits in rank order.
+/// One rank's outcome of a single distributed gs: its result bits and
+/// its communicator's `(messages, bytes, rounds)` after the call.
+struct RankRun {
+    bits: Vec<u64>,
+    counts: (u64, u64, u64),
+}
+
+/// Run one distributed gs on `p` rank-threads; return each rank's
+/// outcome in rank order.
 fn run_distributed(
     dir: &Path,
     ids_per_rank: &[Vec<usize>],
     canon_per_rank: &[Vec<u64>],
     fields: &[Vec<f64>],
     op: GsOp,
-) -> Vec<Vec<u64>> {
+) -> Vec<RankRun> {
     let p = ids_per_rank.len();
     let ids = Arc::new(ids_per_rank.to_vec());
     let canon = Arc::new(canon_per_rank.to_vec());
@@ -45,7 +52,10 @@ fn run_distributed(
                 let gs = NetGs::from_ids(&ids, &canon, r);
                 let mut u = fields[r].clone();
                 gs.gs(&mut u, op, &mut comm).unwrap();
-                u.iter().map(|v| v.to_bits()).collect::<Vec<u64>>()
+                RankRun {
+                    bits: u.iter().map(|v| v.to_bits()).collect(),
+                    counts: comm.local_counts(),
+                }
             })
         })
         .collect();
@@ -118,7 +128,7 @@ fn netgs_matches_serial_gs_bitwise_over_real_sockets() {
                 let got = run_distributed(&dir, &ids_per_rank, &canon_per_rank, &fields, op);
                 for (i, &(r, slot)) in slot_of.iter().enumerate() {
                     assert_eq!(
-                        got[r][slot],
+                        got[r].bits[slot],
                         want[i].to_bits(),
                         "op {op:?}, serial slot {i} on rank {r}"
                     );
@@ -132,7 +142,9 @@ fn netgs_matches_serial_gs_bitwise_over_real_sockets() {
 }
 
 /// Same property on the real solver layout: RSB-partitioned shear-layer
-/// numbering with live-ish data, across rank counts.
+/// numbering with live-ish data, across rank counts. Each rank's one
+/// call also sends exactly one aggregated message per neighbour, with
+/// the volume its pattern declares.
 #[test]
 fn netgs_matches_serial_on_rsb_partitioned_mesh() {
     use sem_mesh::generators::box2d;
@@ -161,13 +173,17 @@ fn netgs_matches_serial_on_rsb_partitioned_mesh() {
             &fields,
             GsOp::Add,
         );
-        for r in 0..p {
+        for (r, run) in got.iter().enumerate() {
             let want_bits: Vec<u64> = layout
                 .extract(r, &want)
                 .iter()
                 .map(|v| v.to_bits())
                 .collect();
-            assert_eq!(got[r], want_bits, "P={p}, rank {r}");
+            assert_eq!(run.bits, want_bits, "P={p}, rank {r}");
+            let (msgs, words) = NetGs::new(&layout, r).traffic_per_call();
+            let (sent_msgs, sent_bytes, _) = run.counts;
+            assert_eq!(sent_msgs, msgs, "P={p}, rank {r}: messages");
+            assert_eq!(sent_bytes, 8 * words, "P={p}, rank {r}: bytes");
         }
     }
     let _ = std::fs::remove_dir_all(&root);

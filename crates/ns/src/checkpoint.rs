@@ -189,8 +189,12 @@ fn r_f64s3(r: &mut dyn Read) -> io::Result<Vec<Vec<Vec<f64>>>> {
 
 fn r_str(r: &mut dyn Read) -> io::Result<String> {
     let len = r_len(r)?;
-    let mut b = vec![0u8; len];
-    r.read_exact(&mut b)?;
+    // Grow with the bytes actually present, not with the declared length.
+    let mut b = Vec::new();
+    r.take(len as u64).read_to_end(&mut b)?;
+    if b.len() != len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     String::from_utf8(b)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "checkpoint name not UTF-8"))
 }
@@ -251,7 +255,10 @@ pub fn rle_compress(raw: &[u8]) -> Vec<u8> {
 /// that many bytes — over- or under-runs are corruption, not padding.
 pub fn rle_decompress(enc: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
     let corrupt = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-    let mut out = Vec::with_capacity(raw_len);
+    // A repeat run expands 2 encoded bytes to at most 130, so the input
+    // bounds the output: a corrupt header cannot force a huge allocation.
+    let max_expansion = RLE_MAX_RUN / 2;
+    let mut out = Vec::with_capacity(raw_len.min(max_expansion.saturating_mul(enc.len())));
     let mut i = 0;
     while i < enc.len() {
         let c = enc[i];
@@ -551,6 +558,35 @@ mod tests {
                 "cut at {cut} should fail"
             );
         }
+    }
+
+    #[test]
+    fn huge_declared_lengths_are_errors_not_aborts() {
+        // A compressed header declaring 2^40 raw bytes over a tiny payload.
+        let mut z = Z_MAGIC.to_vec();
+        z.extend_from_slice(&Z_VERSION.to_le_bytes());
+        z.extend_from_slice(&CODEC_RLE.to_le_bytes());
+        z.extend_from_slice(&MAX_LEN.to_le_bytes());
+        for _ in 0..8 {
+            z.extend_from_slice(&[0x83, 0]);
+        }
+        assert_eq!(z.len(), 40);
+        let err = Checkpoint::from_bytes(&z).unwrap_err();
+        assert!(err.to_string().contains("short"), "{err}");
+        // A plain checkpoint whose scalar name claims 2^40 bytes.
+        let mut ck = sample();
+        ck.scalars[0].name = "n".into();
+        let mut buf = Vec::new();
+        ck.write_to(&mut buf).unwrap();
+        let at = buf.windows(9).position(|w| w == b"\x01\0\0\0\0\0\0\0n").unwrap();
+        buf[at..at + 8].copy_from_slice(&MAX_LEN.to_le_bytes());
+        assert!(Checkpoint::from_bytes(&buf).is_err());
+        let path = std::env::temp_dir().join(format!("terasem_ckpt_huge_{}", std::process::id()));
+        for image in [&z, &buf] {
+            std::fs::write(&path, image).unwrap();
+            assert!(Checkpoint::load(&path).is_err());
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

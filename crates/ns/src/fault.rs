@@ -18,7 +18,8 @@
 //! [`sem_obs::Counter::FaultsInjected`] and leaves a sticky flag the
 //! solver drains, so tests can assert a fault actually happened.
 
-use std::fmt;
+use sem_obs::fault::FaultGrammar;
+pub use sem_obs::fault::FaultSpecError;
 
 /// What to break.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,23 +125,54 @@ pub struct FaultPlan {
     pub events: Vec<FaultEvent>,
 }
 
-/// Parse failure for a `TERASEM_FAULT` spec.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FaultSpecError(String);
+/// `TERASEM_FAULT` items are indexed by 1-based solver step.
+const GRAMMAR: FaultGrammar = FaultGrammar {
+    var: "TERASEM_FAULT",
+    index: "step",
+    rank: false,
+};
 
-impl fmt::Display for FaultSpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid TERASEM_FAULT spec: {}", self.0)
+/// Resolve one item's kind and `:field` qualifier.
+fn parse_kind(
+    name: &str,
+    field: Option<&str>,
+    item: &str,
+) -> Result<(FaultKind, Option<FieldTarget>), String> {
+    let kind = match name {
+        "nan" => FaultKind::FieldNan,
+        "inf" => FaultKind::FieldInf,
+        "indef_op" => FaultKind::IndefiniteOperator,
+        "indef_pc" => FaultKind::IndefinitePreconditioner,
+        "proj" => FaultKind::ProjectionCorruption,
+        "gs" => FaultKind::GsDrop,
+        "coarse" => FaultKind::CoarseCorruption,
+        other => return Err(format!("unknown fault kind `{other}`")),
+    };
+    let field = match field {
+        Some("u") => Some(FieldTarget::U),
+        Some("v") => Some(FieldTarget::V),
+        Some("w") => Some(FieldTarget::W),
+        Some("p") => Some(FieldTarget::Pressure),
+        Some("t") => Some(FieldTarget::Temperature),
+        Some(other) => return Err(format!("unknown field `{other}` in `{item}`")),
+        None => None,
+    };
+    match (kind.needs_field(), field.is_some()) {
+        (true, false) => Err(format!(
+            "`{}` needs a field, e.g. `{}:u@step`",
+            kind.name(),
+            kind.name()
+        )),
+        (false, true) => Err(format!("`{}` takes no field qualifier", kind.name())),
+        _ => Ok((kind, field)),
     }
 }
 
-impl std::error::Error for FaultSpecError {}
-
 impl FaultPlan {
-    /// Parse a fault spec. Grammar (items separated by `,` or `;`):
+    /// Parse a fault spec in the shared [`FaultGrammar`] (items
+    /// separated by `,` or `;`; no `rank=` item):
     ///
     /// ```text
-    /// spec  := item ((',' | ';') item)*
     /// item  := 'seed=' N
     ///        | kind (':' field)? '@' step ('x' count)?
     /// kind  := 'nan' | 'inf' | 'indef_op' | 'indef_pc' | 'proj' | 'gs' | 'coarse'
@@ -149,87 +181,20 @@ impl FaultPlan {
     ///
     /// Examples: `nan:u@3`, `indef_op@5x2`, `seed=7,inf:p@2;gs@4`.
     pub fn parse(spec: &str) -> Result<FaultPlan, FaultSpecError> {
-        let mut plan = FaultPlan::default();
-        for raw in spec.split([',', ';']) {
-            let item = raw.trim();
-            if item.is_empty() {
-                continue;
-            }
-            if let Some(seed) = item.strip_prefix("seed=") {
-                plan.seed = seed
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|_| FaultSpecError(format!("bad seed `{item}`")))?;
-                continue;
-            }
-            let (head, tail) = item
-                .split_once('@')
-                .ok_or_else(|| FaultSpecError(format!("missing `@step` in `{item}`")))?;
-            let (kind_str, field_str) = match head.split_once(':') {
-                Some((k, f)) => (k.trim(), Some(f.trim())),
-                None => (head.trim(), None),
-            };
-            let kind = match kind_str {
-                "nan" => FaultKind::FieldNan,
-                "inf" => FaultKind::FieldInf,
-                "indef_op" => FaultKind::IndefiniteOperator,
-                "indef_pc" => FaultKind::IndefinitePreconditioner,
-                "proj" => FaultKind::ProjectionCorruption,
-                "gs" => FaultKind::GsDrop,
-                "coarse" => FaultKind::CoarseCorruption,
-                other => {
-                    return Err(FaultSpecError(format!("unknown fault kind `{other}`")));
-                }
-            };
-            let field = match field_str {
-                Some("u") => Some(FieldTarget::U),
-                Some("v") => Some(FieldTarget::V),
-                Some("w") => Some(FieldTarget::W),
-                Some("p") => Some(FieldTarget::Pressure),
-                Some("t") => Some(FieldTarget::Temperature),
-                Some(other) => {
-                    return Err(FaultSpecError(format!("unknown field `{other}` in `{item}`")));
-                }
-                None => None,
-            };
-            if kind.needs_field() && field.is_none() {
-                return Err(FaultSpecError(format!(
-                    "`{}` needs a field, e.g. `{}:u@step`",
-                    kind.name(),
-                    kind.name()
-                )));
-            }
-            if !kind.needs_field() && field.is_some() {
-                return Err(FaultSpecError(format!(
-                    "`{}` takes no field qualifier",
-                    kind.name()
-                )));
-            }
-            let (step_str, count_str) = match tail.split_once('x') {
-                Some((s, c)) => (s.trim(), Some(c.trim())),
-                None => (tail.trim(), None),
-            };
-            let step = step_str
-                .parse::<usize>()
-                .ok()
-                .filter(|&s| s >= 1)
-                .ok_or_else(|| FaultSpecError(format!("bad step in `{item}`")))?;
-            let count = match count_str {
-                Some(c) => c
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| FaultSpecError(format!("bad repeat count in `{item}`")))?,
-                None => 1,
-            };
-            plan.events.push(FaultEvent {
-                kind,
-                field,
-                step,
-                count,
-            });
-        }
-        Ok(plan)
+        let spec = GRAMMAR.parse(spec, parse_kind)?;
+        Ok(FaultPlan {
+            seed: spec.seed,
+            events: spec
+                .items
+                .into_iter()
+                .map(|i| FaultEvent {
+                    kind: i.kind.0,
+                    field: i.kind.1,
+                    step: i.at as usize,
+                    count: i.count as usize,
+                })
+                .collect(),
+        })
     }
 
     /// Read the plan from `TERASEM_FAULT`. Returns `None` when the
@@ -238,21 +203,7 @@ impl FaultPlan {
     /// and is ignored (a robustness layer must not crash the run it
     /// protects).
     pub fn from_env() -> Option<FaultPlan> {
-        let spec = std::env::var("TERASEM_FAULT").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        match FaultPlan::parse(&spec) {
-            Ok(plan) => Some(plan),
-            Err(e) => {
-                sem_obs::warn::invalid_env(
-                    "TERASEM_FAULT",
-                    &spec,
-                    &format!("{e}; ignoring the fault plan"),
-                );
-                None
-            }
-        }
+        GRAMMAR.from_env(FaultPlan::parse)
     }
 
     /// Events scheduled for attempt `attempt` (0-based) of 1-based step

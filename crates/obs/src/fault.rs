@@ -16,7 +16,11 @@
 //! Cost when nothing is armed: a single relaxed atomic load behind
 //! [`any_armed`] per probe site — the same budget as the metrics
 //! counters, so production paths pay nothing measurable.
+//!
+//! [`FaultGrammar`] is the one spec grammar of the `TERASEM_FAULT` and
+//! `TERASEM_NET_FAULT` plans; each plan supplies only its kind table.
 
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// The instrumented injection points outside the NS crate. Field-level
@@ -161,6 +165,142 @@ pub fn reset() {
     }
 }
 
+/// Parse failure for a fault-plan spec, naming the variable it is read
+/// from.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FaultSpecError {
+    var: &'static str,
+    msg: String,
+}
+
+impl fmt::Display for FaultSpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "invalid {} spec: {}", self.var, self.msg)
+    }
+}
+
+impl std::error::Error for FaultSpecError {}
+
+/// One scheduled item of a fault spec, its kind resolved by the plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ScheduledFault<K> {
+    /// The plan's kind (with any qualifier folded in).
+    pub kind: K,
+    /// 1-based index of the first hit (a step or an outbound frame).
+    pub at: u64,
+    /// Consecutive hits starting at `at` (`xN`, default 1).
+    pub count: u64,
+}
+
+/// A parsed fault spec.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FaultSpec<K> {
+    /// `seed=N` (default 0).
+    pub seed: u64,
+    /// `rank=R`, when the grammar accepts it.
+    pub rank: Option<usize>,
+    /// Scheduled items, in spec order.
+    pub items: Vec<ScheduledFault<K>>,
+}
+
+/// The fault-plan grammar, shared by every plan:
+///
+/// ```text
+/// spec  := item ((',' | ';') item)*
+/// item  := 'seed=' N
+///        | 'rank=' R                          (only when `rank` is set)
+///        | kind (':' qual)? '@' index ('x' count)?
+/// ```
+///
+/// `index` is 1-based and `count` at least 1. Kinds and qualifiers
+/// belong to the plan and are resolved by the closure given to
+/// [`FaultGrammar::parse`].
+#[derive(Clone, Copy, Debug)]
+pub struct FaultGrammar {
+    /// Environment variable the plan is read from (named in errors).
+    pub var: &'static str,
+    /// What `index` counts, for error messages (`step`, `frame`).
+    pub index: &'static str,
+    /// Accept a `rank=R` item.
+    pub rank: bool,
+}
+
+impl FaultGrammar {
+    fn err(&self, msg: String) -> FaultSpecError {
+        FaultSpecError { var: self.var, msg }
+    }
+
+    /// Parse `spec`. `kind(name, qual, item)` resolves one item's kind
+    /// and optional qualifier, or explains why it cannot.
+    pub fn parse<K>(
+        &self,
+        spec: &str,
+        mut kind: impl FnMut(&str, Option<&str>, &str) -> Result<K, String>,
+    ) -> Result<FaultSpec<K>, FaultSpecError> {
+        let mut out = FaultSpec {
+            seed: 0,
+            rank: None,
+            items: Vec::new(),
+        };
+        for raw in spec.split([',', ';']) {
+            let item = raw.trim();
+            if item.is_empty() {
+                continue;
+            }
+            if let Some(seed) = item.strip_prefix("seed=") {
+                out.seed = seed
+                    .trim()
+                    .parse()
+                    .map_err(|_| self.err(format!("bad seed `{item}`")))?;
+                continue;
+            }
+            if let Some(rank) = item.strip_prefix("rank=").filter(|_| self.rank) {
+                out.rank = Some(
+                    rank.trim()
+                        .parse()
+                        .map_err(|_| self.err(format!("bad rank `{item}`")))?,
+                );
+                continue;
+            }
+            let (head, tail) = item
+                .split_once('@')
+                .ok_or_else(|| self.err(format!("missing `@{}` in `{item}`", self.index)))?;
+            let (name, qual) = match head.split_once(':') {
+                Some((k, q)) => (k.trim(), Some(q.trim())),
+                None => (head.trim(), None),
+            };
+            let kind = kind(name, qual, item).map_err(|m| self.err(m))?;
+            let (at, count) = match tail.split_once('x') {
+                Some((a, c)) => (a, Some(c)),
+                None => (tail, None),
+            };
+            let positive = |s: &str| s.trim().parse::<u64>().ok().filter(|&v| v >= 1);
+            let at = positive(at).ok_or_else(|| self.err(format!("bad {} in `{item}`", self.index)))?;
+            let count = count
+                .map_or(Some(1), positive)
+                .ok_or_else(|| self.err(format!("bad repeat count in `{item}`")))?;
+            out.items.push(ScheduledFault { kind, at, count });
+        }
+        Ok(out)
+    }
+
+    /// Read and parse the plan in [`FaultGrammar::var`]. `None` when the
+    /// variable is unset or empty; a malformed spec prints one warning
+    /// per process — naming the variable and the bad token — and is
+    /// ignored (a robustness layer must not crash the run it protects).
+    pub fn from_env<T>(&self, parse: impl FnOnce(&str) -> Result<T, FaultSpecError>) -> Option<T> {
+        let spec = std::env::var(self.var).ok()?;
+        if spec.trim().is_empty() {
+            return None;
+        }
+        parse(&spec)
+            .map_err(|e| {
+                crate::warn::invalid_env(self.var, &spec, &format!("{e}; ignoring the fault plan"))
+            })
+            .ok()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +362,29 @@ mod tests {
         assert!(!fire(FaultSite::PressurePrecond));
         assert!(take_fired(FaultSite::GsExchange), "fired flag survives disarm");
         reset();
+    }
+
+    #[test]
+    fn grammar_tokenizes_items_and_names_its_variable() {
+        let g = FaultGrammar {
+            var: "TERASEM_TEST_FAULT",
+            index: "step",
+            rank: false,
+        };
+        let kind = |name: &str, qual: Option<&str>, _: &str| match name {
+            "k" => Ok(qual.map(str::to_string)),
+            other => Err(format!("unknown fault kind `{other}`")),
+        };
+        let spec = g.parse(" seed=3; k:a@2x4 ,k@1", kind).unwrap();
+        assert_eq!((spec.seed, spec.rank), (3, None));
+        let got: Vec<_> = spec.items.iter().map(|i| (i.kind.clone(), i.at, i.count)).collect();
+        assert_eq!(got, vec![(Some("a".into()), 2, 4), (None, 1, 1)]);
+        for bad in ["rank=1", "k@0", "k@1x0", "k", "q@1", "seed=x"] {
+            let err = g.parse(bad, kind).unwrap_err().to_string();
+            assert!(err.starts_with("invalid TERASEM_TEST_FAULT spec: "), "{bad}: {err}");
+        }
+        let ranked = FaultGrammar { rank: true, ..g };
+        assert_eq!(ranked.parse("rank=2,k@1", kind).unwrap().rank, Some(2));
     }
 
     #[test]

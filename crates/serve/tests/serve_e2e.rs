@@ -120,6 +120,21 @@ fn stat_u64(kv: &[(String, String)], key: &str) -> u64 {
         .unwrap_or_else(|| panic!("stats missing {key}: {kv:?}"))
 }
 
+/// Submit with the client's jittered backoff until admitted, bounding
+/// the wait by `deadline` rather than by an attempt count, whose span
+/// depends on the server's retry hints and hence on host speed.
+fn submit_within(c: &mut Client, job: &JobSpec, deadline: Duration, seed: u64) -> u64 {
+    let t0 = Instant::now();
+    for round in 0u64.. {
+        match c.submit_with_backoff(job, 10, seed.wrapping_add(round)).unwrap() {
+            Ok(id) => return id,
+            Err(Submit::Overloaded { .. }) if t0.elapsed() < deadline => {}
+            Err(other) => panic!("{} not admitted within {deadline:?}: {other:?}", job.name),
+        }
+    }
+    unreachable!("loop returns or panics")
+}
+
 fn poll_running(client: &mut Client, want: u64, deadline: Duration) {
     let t0 = Instant::now();
     loop {
@@ -199,9 +214,11 @@ fn protocol_basics_and_drain_request_exits_clean() {
 
 #[test]
 fn overload_is_a_structured_rejection_and_backoff_eventually_admits() {
+    // The long jobs end at the per-job wall budget the test sets, so
+    // the queue slot opens on that deadline whatever the host speed.
     let mut d = Daemon::start(
         "overload",
-        &["--workers", "2", "--queue", "2", "--retries", "0"],
+        &["--workers", "2", "--queue", "2", "--retries", "0", "--job-secs", "8"],
     );
     let mut c = d.connect();
     // Two long jobs occupy both workers...
@@ -236,14 +253,8 @@ fn overload_is_a_structured_rejection_and_backoff_eventually_admits() {
     let kv = c.stats().unwrap();
     assert!(stat_u64(&kv, "rejected") >= 1);
     // Honoring the hint with jittered backoff eventually admits: the
-    // long jobs finish, the queue opens.
-    let id = match c
-        .submit_with_backoff(&spec("steps=4 name=patient"), 200, 42)
-        .unwrap()
-    {
-        Ok(id) => id,
-        Err(other) => panic!("backoff should end in admission, got {other:?}"),
-    };
+    // long jobs run out of budget, the queue opens.
+    let id = submit_within(&mut c, &spec("steps=4 name=patient"), Duration::from_secs(120), 42);
     assert_eq!(c.wait_terminal(id, Duration::from_secs(120)).unwrap(), "completed");
     c.request("drain").unwrap();
     assert_eq!(d.wait_exit(Duration::from_secs(60)), 0);
@@ -351,10 +362,7 @@ fn seeded_chaos_soak_completes_all_jobs_byte_equal() {
     .collect();
     let mut ids = Vec::new();
     for (i, job) in soak.iter().enumerate() {
-        match c.submit_with_backoff(job, 200, i as u64).unwrap() {
-            Ok(id) => ids.push(id),
-            Err(other) => panic!("soak submit {i} not admitted: {other:?}"),
-        }
+        ids.push(submit_within(&mut c, job, Duration::from_secs(120), i as u64));
     }
     for (job, id) in soak.iter().zip(&ids) {
         assert_eq!(

@@ -9,6 +9,10 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo test -q --offline -p sem-obs
 cargo bench --no-run --offline -p sem-bench
+# The benchmark crate builds this workspace's crates by path from its own
+# lock file: an API or dependency change that breaks it, or that would
+# rewrite that lock file, fails here rather than at benchmark time.
+CARGO_TARGET_DIR=.bench_build cargo check --locked --offline --manifest-path perfbench/Cargo.toml
 scripts/metrics_smoke.sh
 scripts/fault_smoke.sh
 scripts/soak_smoke.sh

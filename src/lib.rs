@@ -16,7 +16,7 @@
 //! * [`linalg`] — dense kernels (mxm family), factorizations, eigensolvers
 //! * [`mesh`] — spectral element meshes, geometry, partitioning
 //! * [`gs`] — the gather-scatter (direct stiffness summation) library
-//! * [`comm`] — the simulated message-passing machine and cost models
+//! * [`comm`] — the α–β machine cost models and deterministic threading
 //! * [`ops`] — matrix-free spectral element operators
 //! * [`solvers`] — CG, Schwarz/FDM preconditioning, XXᵀ, projection
 //! * [`ns`] — the incompressible Navier–Stokes solver (the paper's code)
