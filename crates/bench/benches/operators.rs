@@ -84,7 +84,7 @@ fn main() {
             );
         }
     }
-    if let Ok(path) = std::env::var("TERASEM_BENCH_JSON") {
+    if let Some(path) = sem_obs::env::string("TERASEM_BENCH_JSON") {
         let path = std::path::PathBuf::from(path);
         snap.write(&path).expect("write snapshot");
         println!("snapshot: {}", path.display());

@@ -32,6 +32,11 @@ pub struct Summary {
     pub iters_per_sample: u64,
 }
 
+/// The global `TERASEM_BENCH_SAMPLES` override, if set and valid.
+fn env_samples() -> Option<usize> {
+    sem_obs::env::int("TERASEM_BENCH_SAMPLES", 1)
+}
+
 /// A named group of benchmarks (mirrors Criterion's `benchmark_group`).
 pub struct BenchGroup {
     group: String,
@@ -40,19 +45,15 @@ pub struct BenchGroup {
 
 impl BenchGroup {
     pub fn new(group: &str) -> Self {
-        let samples = std::env::var("TERASEM_BENCH_SAMPLES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(11);
         Self {
             group: group.to_string(),
-            samples: samples.max(1),
+            samples: env_samples().unwrap_or(11),
         }
     }
 
     /// Set the number of recorded samples (env override wins).
     pub fn sample_size(&mut self, k: usize) -> &mut Self {
-        if std::env::var("TERASEM_BENCH_SAMPLES").is_err() {
+        if env_samples().is_none() {
             self.samples = k.max(1);
         }
         self

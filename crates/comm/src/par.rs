@@ -25,8 +25,8 @@
 //! changing it afterwards — including via `std::env::set_var` in tests —
 //! has no effect. Use [`with_threads`] for runtime control. Invalid
 //! values (`0`, negative, non-numeric) are rejected with a warning on
-//! stderr naming the variable, and the machine's available parallelism
-//! is used instead.
+//! stderr naming the variable (`sem_obs::env`), and the machine's
+//! available parallelism is used instead.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -42,37 +42,14 @@ thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Parse a `TERASEM_THREADS` value: `Some(n)` for a positive integer
-/// (surrounding whitespace tolerated), `None` for everything else
-/// (`0`, negative, non-numeric, empty).
-fn parse_thread_count(s: &str) -> Option<usize> {
-    match s.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => None,
-    }
-}
-
 fn env_threads() -> usize {
     static ENV: OnceLock<usize> = OnceLock::new();
     *ENV.get_or_init(|| {
-        let available = || {
+        sem_obs::env::int("TERASEM_THREADS", 1).unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(|v| v.get())
                 .unwrap_or(1)
-        };
-        match std::env::var("TERASEM_THREADS") {
-            Ok(s) => parse_thread_count(&s).unwrap_or_else(|| {
-                // Don't silently serialize a production run over a typo:
-                // warn, naming the variable, and use the machine default.
-                let n = available();
-                eprintln!(
-                    "warning: TERASEM_THREADS={s:?} is not a positive integer; \
-                     using available parallelism ({n} thread(s)) instead"
-                );
-                n
-            }),
-            Err(_) => available(),
-        }
+        })
     })
 }
 
@@ -324,6 +301,12 @@ mod tests {
         });
         assert_eq!(counted.load(Ordering::Relaxed), 100);
         assert!(items.iter().enumerate().all(|(i, &v)| v == i as f64));
+    }
+
+    /// A `TERASEM_THREADS` value through the reader's grammar.
+    fn parse_thread_count(s: &str) -> Option<usize> {
+        use sem_obs::env::{decode, parse_int};
+        decode("TERASEM_THREADS", Some(s), |s| parse_int(s, 1))
     }
 
     #[test]

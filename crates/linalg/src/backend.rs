@@ -15,7 +15,7 @@
 //!   host has a vector unit, scalar otherwise (the default).
 //!
 //! Selected by `TERASEM_BACKEND=scalar|simd|auto` (read once per
-//! process, malformed values warned once via `sem_obs::warn`), by
+//! process, malformed values warned once via `sem_obs::env`), by
 //! `NsConfig::backend`, or scoped for benchmarks/tests with
 //! [`with_backend`].
 //!
@@ -60,7 +60,7 @@ impl Backend {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" | "std" => Some(Backend::Scalar),
             "simd" | "perf" => Some(Backend::Simd),
-            "auto" | "" => Some(Backend::Auto),
+            "auto" => Some(Backend::Auto),
             _ => None,
         }
     }
@@ -92,16 +92,11 @@ fn decode(v: u8) -> Option<Backend> {
 
 fn env_backend() -> Backend {
     static ENV: OnceLock<Backend> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("TERASEM_BACKEND") {
-        Ok(s) => Backend::parse(&s).unwrap_or_else(|| {
-            sem_obs::warn::invalid_env(
-                "TERASEM_BACKEND",
-                &s,
-                "want scalar|simd|auto; using auto (runtime feature detection)",
-            );
-            Backend::Auto
-        }),
-        Err(_) => Backend::Auto,
+    *ENV.get_or_init(|| {
+        sem_obs::env::parsed("TERASEM_BACKEND", |s| {
+            Backend::parse(s).ok_or("want scalar|simd|auto")
+        })
+        .unwrap_or(Backend::Auto)
     })
 }
 

@@ -18,8 +18,12 @@ fn main() {
         }
     };
     let code = match rank_env() {
-        Some((rank, size)) => rank_main(&opts, rank, size),
-        None => launch_main(&opts, &argv),
+        Ok(Some((rank, size))) => rank_main(&opts, rank, size),
+        Ok(None) => launch_main(&opts, &argv),
+        Err(msg) => {
+            eprintln!("terasem-launch: {msg}");
+            EXIT_USAGE
+        }
     };
     std::process::exit(code);
 }

@@ -177,14 +177,12 @@ impl NetFaultPlan {
         })
     }
 
-    /// Read the plan from `TERASEM_NET_FAULT` for `rank`. Returns
-    /// `None` when the variable is unset or empty, or when the plan is
-    /// pinned to a different rank. A malformed spec prints one warning
-    /// per process — naming the variable and the bad token — and is
-    /// ignored (the resilience layer must not crash the run it tests).
+    /// Read the plan from `TERASEM_NET_FAULT` for `rank`; `None` when
+    /// unset or pinned to a different rank. A malformed spec warns once
+    /// (`sem_obs::env`) and is ignored: the resilience layer must not
+    /// crash the run it tests.
     pub fn from_env(rank: usize) -> Option<NetFaultPlan> {
-        GRAMMAR
-            .from_env(NetFaultPlan::parse)
+        sem_obs::env::parsed(GRAMMAR.var, NetFaultPlan::parse)
             .filter(|plan| plan.rank.is_none_or(|r| r == rank))
     }
 

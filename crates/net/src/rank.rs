@@ -62,12 +62,20 @@ pub const EXIT_PEER_LOST: i32 = sem_obs::exit::NET_PEER_LOST;
 /// Deterministic chaos self-kill (`--kill`), mirroring the soak harness.
 pub const EXIT_CHAOS_KILL: i32 = sem_obs::exit::CHAOS_KILL;
 
-/// Read the child-mode environment: `Some((rank, size))` in a rank
-/// process, `None` in the launcher.
-pub fn rank_env() -> Option<(usize, usize)> {
-    let rank = std::env::var(ENV_RANK).ok()?.parse().ok()?;
-    let size = std::env::var(ENV_SIZE).ok()?.parse().ok()?;
-    Some((rank, size))
+/// Read the child-mode environment: `Ok(Some((rank, size)))` in a rank
+/// process, `Ok(None)` in the launcher. Once [`ENV_RANK`] is present, a
+/// bad rank or size is an error naming the variable, never a launch.
+pub fn rank_env() -> Result<Option<(usize, usize)>, String> {
+    use sem_obs::env::{parse_int, strict};
+    let Some(rank) = strict(ENV_RANK, |s| parse_int(s, 0usize))? else {
+        return Ok(None);
+    };
+    let size = strict(ENV_SIZE, |s| parse_int(s, 1usize))?
+        .ok_or_else(|| format!("{ENV_RANK} is set but {ENV_SIZE} is not"))?;
+    if rank >= size {
+        return Err(format!("{ENV_RANK}={rank} is not below {ENV_SIZE}={size}"));
+    }
+    Ok(Some((rank, size)))
 }
 
 /// The replicated workload every rank advances: the Fig. 3 shear layer
@@ -177,9 +185,7 @@ fn epoch_sock_dir(base: &str, epoch: u64) -> std::path::PathBuf {
 /// spec (the launcher validated the argv form; foreign ranks and
 /// malformed entries are skipped).
 fn kill_steps_from_env(rank: usize) -> Vec<u64> {
-    let Ok(spec) = std::env::var(ENV_KILL) else {
-        return Vec::new();
-    };
+    let spec = sem_obs::env::string(ENV_KILL).unwrap_or_default();
     spec.split(',')
         .filter_map(|part| {
             let (r, s) = part.split_once('@')?;
@@ -209,14 +215,18 @@ enum EpochOutcome {
 /// lost peer become a process exit, and the launcher's restart-all
 /// fallback takes over.
 pub fn rank_main(opts: &LaunchOpts, rank: usize, size: usize) -> i32 {
-    let Ok(sock_base) = std::env::var(ENV_SOCK_DIR) else {
+    let Some(sock_base) = sem_obs::env::string(ENV_SOCK_DIR) else {
         eprintln!("terasem-net rank {rank}: {ENV_SOCK_DIR} unset");
         return EXIT_USAGE;
     };
-    let launch_epoch: u64 = std::env::var(ENV_EPOCH)
-        .ok()
-        .and_then(|e| e.parse().ok())
-        .unwrap_or(0);
+    let step_var = |name| sem_obs::env::strict(name, |s| sem_obs::env::parse_int(s, 0u64));
+    let (launch_epoch, resume_step) = match (step_var(ENV_EPOCH), step_var(ENV_RESUME_STEP)) {
+        (Ok(epoch), Ok(step)) => (epoch.unwrap_or(0), step),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("terasem-net rank {rank}: {e}");
+            return EXIT_USAGE;
+        }
+    };
     if opts.bench_comm {
         let transport = match Transport::bootstrap(
             &epoch_sock_dir(&sock_base, launch_epoch),
@@ -273,14 +283,7 @@ pub fn rank_main(opts: &LaunchOpts, rank: usize, size: usize) -> i32 {
     };
     let netgs = NetGs::new(&layout, rank);
     let mut sup = RunSupervisor::new(solver);
-    if let Ok(step) = std::env::var(ENV_RESUME_STEP) {
-        let step: u64 = match step.parse() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("terasem-net rank {rank}: bad {ENV_RESUME_STEP} {step:?}");
-                return EXIT_USAGE;
-            }
-        };
+    if let Some(step) = resume_step {
         match sup.resume_from_step(step) {
             Ok(_) => eprintln!("terasem-net rank {rank}: resumed from generation {step}"),
             Err(e) => {

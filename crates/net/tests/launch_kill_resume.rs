@@ -259,6 +259,30 @@ fn more_ranks_than_elements_is_a_clean_configuration_error() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The presence of `TERASEM_NET_RANK` selects rank mode, so a malformed
+/// value is a usage error naming the variable — never a fallback to
+/// launching (and running) a whole job.
+#[test]
+fn malformed_rank_env_is_a_usage_error_not_a_launch() {
+    let root = scratch("badrank");
+    let out = Command::new(EXE)
+        .args([
+            "--ranks", "2", "--steps", "3", "--elems", "3", "--order", "4", "--dir",
+        ])
+        .arg(&root)
+        .env("TERASEM_NET_RANK", "abc")
+        .env("TERASEM_NET_SIZE", "2")
+        .env("TERASEM_THREADS", "1")
+        .output()
+        .expect("spawn terasem-launch");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stdout}\n{stderr}");
+    assert!(stderr.contains("TERASEM_NET_RANK"), "{stderr}");
+    assert!(pid_lines(&stdout).is_empty(), "spawned:\n{stdout}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn bench_comm_reports_fitted_alpha_beta_against_the_model() {
     let root = scratch("bench");

@@ -197,13 +197,11 @@ impl FaultPlan {
         })
     }
 
-    /// Read the plan from `TERASEM_FAULT`. Returns `None` when the
-    /// variable is unset or empty; a malformed spec prints one warning
-    /// per process to stderr — naming the variable and the bad token —
-    /// and is ignored (a robustness layer must not crash the run it
-    /// protects).
+    /// Read the plan from `TERASEM_FAULT`; `None` when unset. A malformed
+    /// spec warns once (`sem_obs::env`) and is ignored: a robustness
+    /// layer must not crash the run it protects.
     pub fn from_env() -> Option<FaultPlan> {
-        GRAMMAR.from_env(FaultPlan::parse)
+        sem_obs::env::parsed(GRAMMAR.var, FaultPlan::parse)
     }
 
     /// Events scheduled for attempt `attempt` (0-based) of 1-based step
@@ -268,7 +266,7 @@ mod tests {
 
     #[test]
     fn malformed_env_spec_is_ignored_with_a_warning() {
-        // The warning itself goes through `sem_obs::warn::invalid_env`
+        // The warning itself goes through `sem_obs::env`
         // (once per process, pinned by its own unit test); here we pin
         // that a malformed TERASEM_FAULT never yields a plan and never
         // panics, on repeated reads.

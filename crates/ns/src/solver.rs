@@ -104,23 +104,6 @@ struct DtRestore {
     clean_steps_left: usize,
 }
 
-/// Everything `step()` needs to roll the solver back to step entry.
-struct StepSnapshot {
-    vel: Vec<Vec<f64>>,
-    pressure: Vec<f64>,
-    temp: Option<Vec<f64>>,
-    time: f64,
-    step_index: usize,
-    vel_hist: VecDeque<Vec<Vec<f64>>>,
-    time_hist: VecDeque<f64>,
-    conv_hist: VecDeque<Vec<Vec<f64>>>,
-    temp_hist: VecDeque<Vec<f64>>,
-    temp_conv_hist: VecDeque<Vec<f64>>,
-    scalars: Vec<(Vec<f64>, VecDeque<Vec<f64>>, VecDeque<Vec<f64>>)>,
-    projection: sem_solvers::projection::RhsProjection,
-    kinetic: f64,
-}
-
 impl NsSolver {
     /// Create a solver at rest on `ops`.
     pub fn new(ops: SemOps, cfg: NsConfig) -> Self {
@@ -604,7 +587,11 @@ impl NsSolver {
         let step_idx = self.step_index + 1;
         let entry_time = self.time;
         let original_dt = self.cfg.dt;
-        let snap = self.snapshot();
+        // The rollback snapshot is a checkpoint (the Helmholtz caches
+        // are kept — they depend only on `h2` and rebuild
+        // deterministically).
+        let snap = self.checkpoint();
+        let entry_kinetic = kinetic_energy(&self.ops, &self.vel);
         let mut trail: Vec<RecoveryAttempt> = Vec::new();
         let mut halvings = 0usize;
         let mut attempt = 0usize;
@@ -627,7 +614,7 @@ impl NsSolver {
             let _ = obs_fault::take_fired(FaultSite::CoarseRhs);
 
             if failure.is_none() {
-                failure = self.health_failure(snap.kinetic, policy.max_energy_growth);
+                failure = self.health_failure(entry_kinetic, policy.max_energy_growth);
             }
 
             let Some(cause) = failure else {
@@ -641,9 +628,8 @@ impl NsSolver {
             };
 
             // Roll back to step entry before deciding what to do next.
-            self.restore(&snap);
+            self.apply_checkpoint(&snap);
             self.pressure_solver.set_jacobi_fallback(false);
-            self.cfg.dt = original_dt;
 
             let rollbacks = trail.len();
             let stage = if !policy.enabled || rollbacks >= policy.max_retries {
@@ -784,51 +770,6 @@ impl NsSolver {
         None
     }
 
-    /// Capture everything an attempt can modify.
-    fn snapshot(&mut self) -> StepSnapshot {
-        StepSnapshot {
-            vel: self.vel.clone(),
-            pressure: self.pressure.clone(),
-            temp: self.temp.clone(),
-            time: self.time,
-            step_index: self.step_index,
-            vel_hist: self.vel_hist.clone(),
-            time_hist: self.time_hist.clone(),
-            conv_hist: self.conv_hist.clone(),
-            temp_hist: self.temp_hist.clone(),
-            temp_conv_hist: self.temp_conv_hist.clone(),
-            scalars: self
-                .scalars
-                .iter()
-                .map(|sc| (sc.field.clone(), sc.hist.clone(), sc.conv_hist.clone()))
-                .collect(),
-            projection: self.pressure_solver.projection_snapshot(),
-            kinetic: kinetic_energy(&self.ops, &self.vel),
-        }
-    }
-
-    /// Roll the solver back to a snapshot (the Helmholtz caches are
-    /// kept — they depend only on `h2` and rebuild deterministically).
-    fn restore(&mut self, snap: &StepSnapshot) {
-        self.vel = snap.vel.clone();
-        self.pressure = snap.pressure.clone();
-        self.temp = snap.temp.clone();
-        self.time = snap.time;
-        self.step_index = snap.step_index;
-        self.vel_hist = snap.vel_hist.clone();
-        self.time_hist = snap.time_hist.clone();
-        self.conv_hist = snap.conv_hist.clone();
-        self.temp_hist = snap.temp_hist.clone();
-        self.temp_conv_hist = snap.temp_conv_hist.clone();
-        for (sc, (field, hist, conv_hist)) in self.scalars.iter_mut().zip(snap.scalars.iter()) {
-            sc.field = field.clone();
-            sc.hist = hist.clone();
-            sc.conv_hist = conv_hist.clone();
-        }
-        self.pressure_solver
-            .restore_projection(snap.projection.clone());
-    }
-
     /// Drop the successive-RHS pressure projection basis. The recovery
     /// ladder's first rung, exposed for the run supervisor's hard
     /// watchdog: a step that blew its wall-clock budget most often did
@@ -952,6 +893,17 @@ impl NsSolver {
                 self.cfg.pressure_lmax
             ));
         }
+        self.apply_checkpoint(ck);
+        // Recovery-ladder transients are deliberately not checkpointed.
+        self.pressure_solver.set_jacobi_fallback(false);
+        self.dt_restore = None;
+        Ok(())
+    }
+
+    /// Overwrite the time-loop state with a checkpoint already validated
+    /// against this solver (restore and step rollback share it). Leaves
+    /// the recovery-ladder transients alone.
+    fn apply_checkpoint(&mut self, ck: &Checkpoint) {
         self.vel = ck.vel.clone();
         self.pressure = ck.pressure.clone();
         self.temp = ck.temp.clone();
@@ -971,7 +923,7 @@ impl NsSolver {
             sc.conv_hist = st.conv_hist.iter().cloned().collect();
         }
         let mut proj = sem_solvers::projection::RhsProjection::with_rtol(
-            np,
+            self.ops.n_pressure(),
             self.cfg.pressure_lmax,
             self.cfg.pressure_cg.dependence_rtol,
         );
@@ -979,10 +931,6 @@ impl NsSolver {
             proj.push_raw(x.clone(), ex.clone());
         }
         self.pressure_solver.restore_projection(proj);
-        // Recovery-ladder transients are deliberately not checkpointed.
-        self.pressure_solver.set_jacobi_fallback(false);
-        self.dt_restore = None;
-        Ok(())
     }
 
     /// Write a checkpoint file (see [`crate::checkpoint`]).

@@ -121,53 +121,21 @@ impl RunPolicy {
     /// `TERASEM_CHECKPOINT_DIR` (enables checkpointing, default interval
     /// 5 steps when none is configured), `TERASEM_CHECKPOINT_EVERY`
     /// (step interval), `TERASEM_KEEP_LAST` (retention). Malformed
-    /// values warn once on stderr (naming the variable and the bad
-    /// token) and leave the configured value in place.
+    /// values warn once (see `sem_obs::env`) and leave the configured
+    /// value in place.
     pub fn from_env(mut self) -> Self {
-        if let Ok(dir) = std::env::var("TERASEM_CHECKPOINT_DIR") {
-            if !dir.trim().is_empty() {
-                self.checkpoint_dir = Some(PathBuf::from(dir));
-                if self.checkpoint_every_steps.is_none() && self.checkpoint_every_secs.is_none() {
-                    self.checkpoint_every_steps = Some(5);
-                }
+        use sem_obs::env;
+        if let Some(dir) = env::string("TERASEM_CHECKPOINT_DIR") {
+            self.checkpoint_dir = Some(PathBuf::from(dir));
+            if self.checkpoint_every_steps.is_none() && self.checkpoint_every_secs.is_none() {
+                self.checkpoint_every_steps = Some(5);
             }
         }
-        if let Ok(v) = std::env::var("TERASEM_CHECKPOINT_EVERY") {
-            match v.trim().parse::<u64>() {
-                Ok(n) if n > 0 => self.checkpoint_every_steps = Some(n),
-                _ => {
-                    sem_obs::warn::invalid_env(
-                        "TERASEM_CHECKPOINT_EVERY",
-                        &v,
-                        "not a positive integer; keeping the configured interval",
-                    );
-                }
-            }
+        if let Some(n) = env::int("TERASEM_CHECKPOINT_EVERY", 1u64) {
+            self.checkpoint_every_steps = Some(n);
         }
-        if let Ok(v) = std::env::var("TERASEM_KEEP_LAST") {
-            match v.trim().parse::<usize>() {
-                Ok(n) if n > 0 => self.keep_last = n,
-                _ => {
-                    sem_obs::warn::invalid_env(
-                        "TERASEM_KEEP_LAST",
-                        &v,
-                        "not a positive integer; keeping the configured retention",
-                    );
-                }
-            }
-        }
-        if let Ok(v) = std::env::var("TERASEM_CKPT_COMPRESS") {
-            match v.trim() {
-                "1" | "true" | "TRUE" => self.compress = true,
-                "0" | "false" | "FALSE" | "" => self.compress = false,
-                other => {
-                    sem_obs::warn::invalid_env(
-                        "TERASEM_CKPT_COMPRESS",
-                        other,
-                        "expected 0 or 1; keeping the configured setting",
-                    );
-                }
-            }
+        if let Some(n) = env::int("TERASEM_KEEP_LAST", 1usize) {
+            self.keep_last = n;
         }
         self
     }

@@ -283,22 +283,6 @@ impl FaultGrammar {
         }
         Ok(out)
     }
-
-    /// Read and parse the plan in [`FaultGrammar::var`]. `None` when the
-    /// variable is unset or empty; a malformed spec prints one warning
-    /// per process — naming the variable and the bad token — and is
-    /// ignored (a robustness layer must not crash the run it protects).
-    pub fn from_env<T>(&self, parse: impl FnOnce(&str) -> Result<T, FaultSpecError>) -> Option<T> {
-        let spec = std::env::var(self.var).ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        parse(&spec)
-            .map_err(|e| {
-                crate::warn::invalid_env(self.var, &spec, &format!("{e}; ignoring the fault plan"))
-            })
-            .ok()
-    }
 }
 
 #[cfg(test)]

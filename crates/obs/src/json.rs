@@ -1,10 +1,9 @@
 //! Minimal JSON-line support (zero-dependency policy: no serde).
 //!
 //! [`JsonObj`] builds one flat-or-nested JSON object as a `String`;
-//! [`is_valid`] is a small recursive-descent syntax checker used by the
-//! schema tests and the `metrics_smoke.sh` validator fallback; [`Json`]
-//! is a small parsed-value tree used by `sem-report` to replay the
-//! JSON-lines a run emitted. None of these aims to be a general JSON
+//! [`Json`] is a small recursive-descent parser into a value tree, used
+//! by `sem-report` to replay the JSON-lines a run emitted and, through
+//! [`is_valid`], by the schema tests. Neither aims to be a general JSON
 //! library — just enough to emit, sanity-check, and replay the
 //! structured records of [`crate::record`].
 
@@ -142,36 +141,15 @@ impl JsonObj {
     }
 }
 
-/// Minimal JSON syntax validator (objects, arrays, strings, numbers,
-/// `true`/`false`/`null`). Returns `true` iff `s` is one complete JSON
-/// value with nothing but whitespace around it.
+/// Is `s` one complete JSON value with nothing but whitespace around
+/// it? (The syntax check of [`Json::parse`].)
 pub fn is_valid(s: &str) -> bool {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    if !value(b, &mut i) {
-        return false;
-    }
-    skip_ws(b, &mut i);
-    i == b.len()
+    Json::parse(s).is_some()
 }
 
 fn skip_ws(b: &[u8], i: &mut usize) {
     while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
         *i += 1;
-    }
-}
-
-fn value(b: &[u8], i: &mut usize) -> bool {
-    skip_ws(b, i);
-    match b.get(*i) {
-        Some(b'{') => object(b, i),
-        Some(b'[') => array(b, i),
-        Some(b'"') => string(b, i),
-        Some(b't') => literal(b, i, b"true"),
-        Some(b'f') => literal(b, i, b"false"),
-        Some(b'n') => literal(b, i, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-        _ => false,
     }
 }
 
@@ -182,83 +160,6 @@ fn literal(b: &[u8], i: &mut usize, lit: &[u8]) -> bool {
     } else {
         false
     }
-}
-
-fn object(b: &[u8], i: &mut usize) -> bool {
-    *i += 1; // consume '{'
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b'}') {
-        *i += 1;
-        return true;
-    }
-    loop {
-        skip_ws(b, i);
-        if !string(b, i) {
-            return false;
-        }
-        skip_ws(b, i);
-        if b.get(*i) != Some(&b':') {
-            return false;
-        }
-        *i += 1;
-        if !value(b, i) {
-            return false;
-        }
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b'}') => {
-                *i += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn array(b: &[u8], i: &mut usize) -> bool {
-    *i += 1; // consume '['
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b']') {
-        *i += 1;
-        return true;
-    }
-    loop {
-        if !value(b, i) {
-            return false;
-        }
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b']') => {
-                *i += 1;
-                return true;
-            }
-            _ => return false,
-        }
-    }
-}
-
-fn string(b: &[u8], i: &mut usize) -> bool {
-    if b.get(*i) != Some(&b'"') {
-        return false;
-    }
-    *i += 1;
-    while let Some(&c) = b.get(*i) {
-        match c {
-            b'"' => {
-                *i += 1;
-                return true;
-            }
-            b'\\' => {
-                // Escape: accept any single escaped char (\uXXXX handled
-                // by consuming the 'u' here and the hex as plain chars).
-                *i += 2;
-            }
-            _ => *i += 1,
-        }
-    }
-    false
 }
 
 fn number(b: &[u8], i: &mut usize) -> bool {
@@ -501,11 +402,15 @@ fn parse_string(b: &[u8], i: &mut usize) -> Option<String> {
                 *i += 1;
             }
             _ => {
-                // Copy the full UTF-8 sequence starting at this byte.
-                let s = std::str::from_utf8(&b[*i..]).ok()?;
-                let ch = s.chars().next()?;
-                out.push(ch);
-                *i += ch.len_utf8();
+                // Copy the run of plain bytes up to the next quote or
+                // escape; both are ASCII, so the run ends on a UTF-8
+                // boundary of the input `&str`.
+                let run = b[*i..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(b.len() - *i);
+                out.push_str(std::str::from_utf8(&b[*i..*i + run]).ok()?);
+                *i += run;
             }
         }
     }

@@ -32,6 +32,9 @@
 //!   Chrome trace-event export (`TERASEM_TRACE`), off by default even
 //!   when metrics are on.
 //!
+//! [`env`] is the one reader of the `TERASEM_*` environment knobs, for
+//! this crate and every crate above it.
+//!
 //! Span totals are *inclusive* (a parent phase's time contains its
 //! nested children); `sem-report` derives exclusive (self) times from
 //! the static [`spans::Phase::parent`] nesting tree.
@@ -52,6 +55,7 @@
 //! [`init_from_env`] (called by the experiment binaries).
 
 pub mod counters;
+pub mod env;
 pub mod exit;
 pub mod fault;
 pub mod hist;
@@ -60,7 +64,6 @@ pub mod record;
 pub mod sink;
 pub mod spans;
 pub mod trace;
-pub mod warn;
 
 pub use counters::Counter;
 pub use fault::FaultSite;
@@ -104,32 +107,28 @@ pub fn rank() -> Option<u32> {
     }
 }
 
-/// Enable metrics if the `TERASEM_METRICS` environment variable is set
-/// to `1` or `true`, and apply the companion env vars: the per-phase
-/// mask `TERASEM_METRICS_PHASES` (see [`spans::init_phases_from_env`]),
-/// the sink selector `TERASEM_METRICS_SINK` (see
-/// [`sink::init_sink_from_env`]), and the rank stamp `TERASEM_RANK`
-/// (see [`set_rank`]). Returns the resulting enabled state.
-/// (`TERASEM_TRACE` is handled separately by [`trace::init_from_env`],
-/// since the caller owns writing the export file at run end.)
+/// Enable metrics if the `TERASEM_METRICS` flag is on, and apply the
+/// companion knobs: the rank stamp `TERASEM_RANK` (see [`set_rank`]),
+/// the per-phase mask `TERASEM_METRICS_PHASES` (see
+/// [`spans::parse_phase_list`]) and the sink selector
+/// `TERASEM_METRICS_SINK` (see [`sink::parse_sink_spec`]). A malformed
+/// value warns once and leaves its setting unchanged. Returns the
+/// resulting enabled state. (`TERASEM_TRACE` is handled separately by
+/// [`trace::init_from_env`], since the caller owns writing the export
+/// file at run end.)
 pub fn init_from_env() -> bool {
-    if let Ok(v) = std::env::var("TERASEM_METRICS") {
-        let v = v.trim();
-        if v == "1" || v.eq_ignore_ascii_case("true") {
-            set_enabled(true);
-        }
+    if env::parsed("TERASEM_METRICS", env::parse_flag) == Some(true) {
+        set_enabled(true);
     }
-    if let Ok(v) = std::env::var("TERASEM_RANK") {
-        let v = v.trim();
-        match v.parse::<u32>() {
-            Ok(r) => set_rank(Some(r)),
-            Err(_) => {
-                warn::invalid_env("TERASEM_RANK", v, "expected a rank index; stamp left unset");
-            }
-        }
+    if let Some(r) = env::int("TERASEM_RANK", 0u32) {
+        set_rank(Some(r));
     }
-    spans::init_phases_from_env();
-    sink::init_sink_from_env();
+    if let Some(mask) = env::parsed("TERASEM_METRICS_PHASES", spans::parse_phase_list) {
+        spans::set_phase_mask(mask);
+    }
+    if let Some(handle) = env::parsed("TERASEM_METRICS_SINK", sink::parse_sink_spec) {
+        sink::set_sink(handle.map(|h| h.0));
+    }
     enabled()
 }
 

@@ -13,8 +13,9 @@
 //!
 //! Selection: programmatic via [`set_sink`] (the `NsConfig::sink` field
 //! does this for you), or `TERASEM_METRICS_SINK=stdout|file:<path>|null`
-//! + [`init_sink_from_env`]. Unknown values warn on stderr and fall back
-//! to stdout — a bad env var must not silently eat a run's telemetry.
+//! with [`crate::init_from_env`]. Unknown values warn once and keep the
+//! installed sink — a bad env var must not silently eat a run's
+//! telemetry.
 
 use std::fmt;
 use std::fs::File;
@@ -192,27 +193,9 @@ pub fn parse_sink_spec(spec: &str) -> Result<Option<SinkHandle>, String> {
             Some(path) if !path.is_empty() => FileSink::create(path)
                 .map(|s| Some(SinkHandle::new(s)))
                 .map_err(|e| format!("cannot open metrics sink file {path}: {e}")),
-            _ => Err(format!(
-                "unknown TERASEM_METRICS_SINK value {spec:?} (expected stdout, null, or file:<path>)"
-            )),
+            _ => Err("expected stdout, null, or file:<path>".to_string()),
         },
     }
-}
-
-/// Install the sink selected by `TERASEM_METRICS_SINK`, if set. On a bad
-/// value (unknown spec, unopenable file) warns on stderr and leaves the
-/// stdout default in place. Returns the active sink's tag.
-pub fn init_sink_from_env() -> String {
-    if let Ok(v) = std::env::var("TERASEM_METRICS_SINK") {
-        match parse_sink_spec(&v) {
-            Ok(handle) => set_sink(handle.map(|h| h.0)),
-            Err(msg) => {
-                eprintln!("sem-obs: {msg}; falling back to stdout");
-                set_sink(None);
-            }
-        }
-    }
-    current_sink_name()
 }
 
 #[cfg(test)]

@@ -135,11 +135,6 @@ pub fn set_phase_mask(mask: u64) {
     PHASE_MASK.store(mask, Ordering::Relaxed);
 }
 
-/// Current per-phase enable mask.
-pub fn phase_mask() -> u64 {
-    PHASE_MASK.load(Ordering::Relaxed)
-}
-
 /// Build a mask enabling exactly `phases`.
 pub fn mask_for(phases: &[Phase]) -> u64 {
     phases.iter().fold(0u64, |m, &p| m | (1u64 << p as usize))
@@ -170,22 +165,6 @@ pub fn parse_phase_list(s: &str) -> Result<u64, String> {
         }
     }
     Ok(mask)
-}
-
-/// Apply the `TERASEM_METRICS_PHASES` environment variable to the phase
-/// mask (no-op when unset; one warning per process on stderr — naming
-/// the variable and the bad token — and no change when the list fails
-/// to parse). Returns the resulting mask.
-pub fn init_phases_from_env() -> u64 {
-    if let Ok(v) = std::env::var("TERASEM_METRICS_PHASES") {
-        match parse_phase_list(&v) {
-            Ok(mask) => set_phase_mask(mask),
-            Err(e) => {
-                crate::warn::invalid_env("TERASEM_METRICS_PHASES", &v, &format!("{e}; mask unchanged"));
-            }
-        }
-    }
-    phase_mask()
 }
 
 /// Open a span over `phase`; the elapsed time is recorded when the

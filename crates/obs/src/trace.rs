@@ -117,22 +117,18 @@ pub fn set_capacity(events: usize) {
 }
 
 /// Enable tracing from the `TERASEM_TRACE` environment variable.
-/// `TERASEM_TRACE=1|true` enables recording; any other non-empty,
-/// non-`0` value enables recording *and* is returned as the path the
-/// caller should pass to [`write_chrome`] when the run ends. Returns
-/// `None` when tracing was not enabled or no path was given.
+/// A flag value (`1|true`, `0|false`) switches recording; any other
+/// value enables recording *and* is returned as the path the caller
+/// should pass to [`write_chrome`] when the run ends. Returns `None`
+/// when tracing was not enabled or no path was given.
 pub fn init_from_env() -> Option<String> {
-    let v = std::env::var("TERASEM_TRACE").ok()?;
-    let v = v.trim();
-    if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false") {
-        return None;
-    }
+    let v = crate::env::string("TERASEM_TRACE")?;
+    let path = match crate::env::parse_flag(&v) {
+        Ok(on) => on.then_some(None)?,
+        Err(_) => Some(v),
+    };
     set_trace_enabled(true);
-    if v == "1" || v.eq_ignore_ascii_case("true") {
-        None
-    } else {
-        Some(v.to_string())
-    }
+    path
 }
 
 fn epoch() -> Instant {

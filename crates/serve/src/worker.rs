@@ -19,12 +19,12 @@ use crate::job::JobSpec;
 use crate::signal;
 use sem_bench::workloads::shear_layer;
 use sem_ns::{FaultPlan, NsSolver, RecoveryPolicy, RunPolicy, RunSupervisor};
-use sem_obs::exit;
 use sem_obs::sink::{FileSink, SinkHandle};
+use sem_obs::{env, exit};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Marker env var: set (to anything) in worker children.
+/// Marker env var: set (to any non-blank value) in worker children.
 pub const ENV_WORKER: &str = "TERASEM_SERVE_WORKER";
 /// The job directory (checkpoints + metrics live under it).
 pub const ENV_DIR: &str = "TERASEM_SERVE_DIR";
@@ -87,13 +87,9 @@ pub fn build_solver(spec: &JobSpec, job_dir: &Path, job_id: u64, metrics: bool) 
     s
 }
 
-fn env(var: &str) -> Option<String> {
-    std::env::var(var).ok()
-}
-
 /// Is this process a worker child? (Mirrors `rank_env()` in sem-net.)
 pub fn worker_env() -> bool {
-    env(ENV_WORKER).is_some()
+    env::string(ENV_WORKER).is_some()
 }
 
 /// Worker entry point; never returns. All failure paths are structured
@@ -103,17 +99,16 @@ pub fn worker_main() -> ! {
         eprintln!("sem-serve worker: {msg}");
         std::process::exit(exit::USAGE);
     };
-    let job_dir = PathBuf::from(env(ENV_DIR).unwrap_or_else(|| die(format!("{ENV_DIR} unset"))));
-    let spec_line = env(ENV_SPEC).unwrap_or_else(|| die(format!("{ENV_SPEC} unset")));
+    let job_dir =
+        PathBuf::from(env::string(ENV_DIR).unwrap_or_else(|| die(format!("{ENV_DIR} unset"))));
+    let spec_line = env::string(ENV_SPEC).unwrap_or_else(|| die(format!("{ENV_SPEC} unset")));
     let tokens: Vec<&str> = spec_line.split_whitespace().collect();
     let spec = JobSpec::parse(&tokens).unwrap_or_else(|e| die(format!("bad spec: {e}")));
-    let job_id: u64 = env(ENV_JOB)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| die(format!("{ENV_JOB} unset or not a number")));
-    let attempt: u32 = env(ENV_ATTEMPT).and_then(|v| v.parse().ok()).unwrap_or(0);
-    let wall_secs: f64 = env(ENV_WALL_SECS)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(600.0);
+    let job_id: u64 = env::strict(ENV_JOB, str::parse)
+        .and_then(|id| id.ok_or_else(|| format!("{ENV_JOB} unset")))
+        .unwrap_or_else(|e| die(e));
+    let attempt: u32 = env::int(ENV_ATTEMPT, 0).unwrap_or(0);
+    let wall_secs: f64 = env::parsed(ENV_WALL_SECS, str::parse).unwrap_or(600.0);
 
     signal::install_term_handler();
     // Counters/spans are process-global and gated on this flag; the

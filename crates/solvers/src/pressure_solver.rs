@@ -88,12 +88,8 @@ impl PressureSolver {
         self.projection.clear();
     }
 
-    /// Clone of the projection history (step snapshot / checkpoint).
-    pub fn projection_snapshot(&self) -> RhsProjection {
-        self.projection.clone()
-    }
-
-    /// Replace the projection history (rollback restore).
+    /// Replace the projection history (checkpoint restore and step
+    /// rollback).
     pub fn restore_projection(&mut self, projection: RhsProjection) {
         self.projection = projection;
     }

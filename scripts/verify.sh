@@ -5,6 +5,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# One reader for the environment: every TERASEM_* knob goes through
+# sem_obs::env, so no other source file may read a variable directly.
+if grep -rnE 'env::var(_os)?\(' crates/*/src crates/*/benches src --include='*.rs' \
+    | grep -v '^crates/obs/src/env.rs:'; then
+    echo "verify: direct environment read outside crates/obs/src/env.rs" >&2
+    exit 1
+fi
+
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo test -q --offline -p sem-obs
